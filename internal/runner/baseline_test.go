@@ -44,9 +44,10 @@ func runBaselineSubset(t *testing.T) []BenchFile {
 }
 
 // TestBaselineRegression is the perf/correctness gate: the simulated
-// counters of the baseline subset must match testdata/BENCH_baseline.json
-// exactly (they are deterministic — any drift is a semantics change that
-// must be intentional), and wall-clock must not regress catastrophically.
+// counters and final machine fingerprints of the baseline subset must
+// match testdata/BENCH_baseline.json exactly (they are deterministic —
+// any drift is a semantics change that must be intentional), and
+// wall-clock must not regress catastrophically.
 // Refresh the baseline after an intentional change with
 //
 //	go test ./internal/runner -run TestBaselineRegression -update
@@ -110,6 +111,13 @@ func TestBaselineRegression(t *testing.T) {
 					wf.Experiment, wc.Label,
 					wc.Cycles, wc.Rollbacks, wc.Instructions, wc.Violations,
 					gc.Cycles, gc.Rollbacks, gc.Instructions, gc.Violations)
+			}
+			// The final machine state is just as deterministic: a change
+			// that keeps the counters but reorders the run (or leaves the
+			// caches, stacks or memory in another state) fails here.
+			if wc.Fingerprint != gc.Fingerprint {
+				t.Errorf("%s/%s: final fingerprint drifted from baseline: %q -> %q",
+					wf.Experiment, wc.Label, wc.Fingerprint, gc.Fingerprint)
 			}
 		}
 		// Wall-clock gate: generous, and skipped under the race detector

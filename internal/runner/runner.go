@@ -20,6 +20,7 @@ import (
 	"sync"
 	"time"
 
+	"tmisa/internal/core"
 	"tmisa/internal/stats"
 	"tmisa/internal/tmprof"
 )
@@ -37,6 +38,13 @@ type Metrics struct {
 	Rollbacks    uint64 `json:"rollbacks"`
 	Instructions uint64 `json:"instructions"`
 	Violations   uint64 `json:"violations"`
+
+	// Fingerprint is the cell's final core.Machine.Fingerprint in hex:
+	// the whole behavioural end state (caches, TCB stacks, memory image),
+	// so a change that keeps every counter but reorders the run still
+	// shows. Taken after Run returns, outside the simulation.
+	// Deterministic.
+	Fingerprint string `json:"fingerprint,omitempty"`
 
 	// Values holds experiment-specific derived numbers (speedups,
 	// per-variant cycle counts) keyed by a stable name. Deterministic.
@@ -73,6 +81,9 @@ func FromReport(rep *stats.Report) Metrics {
 		Violations:   rep.Machine.Violations,
 	}
 }
+
+// fingerprint renders a finished machine's Fingerprint for Metrics.
+func fingerprint(m *core.Machine) string { return fmt.Sprintf("%016x", m.Fingerprint()) }
 
 // Cell is one independently runnable unit of an experiment matrix. Run
 // must build all simulator state itself (its own Machine) and must not
