@@ -255,10 +255,11 @@ func BenchmarkNestingDepth(b *testing.B) {
 
 // BenchmarkEngineHotPath guards the simulator's per-instruction fast
 // paths (the sim.Yield no-rendezvous path, the cache's speculative-line
-// lists, the memory page cache, and the TCB's lazy map allocation): a
-// transaction-dense kernel whose ns/op and allocs/op regress if any of
-// them is lost. Simulated cycle counts are pinned elsewhere (the runner
-// baseline test); this benchmark watches host-side cost only.
+// lists and first-touch sets, the memory page cache, and the TCB stack's
+// per-depth level reuse): a transaction-dense kernel whose ns/op and
+// allocs/op regress if any of them is lost. Simulated cycle counts are
+// pinned elsewhere (the runner baseline test); this benchmark watches
+// host-side cost only.
 func BenchmarkEngineHotPath(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

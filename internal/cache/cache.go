@@ -107,19 +107,22 @@ func DefaultConfig() Config {
 }
 
 // line is one cache line's tags and transactional metadata. The simulator
-// stores no data here; package tm is authoritative for values.
+// stores no data here; package tm is authoritative for values. The
+// fields are ordered widest first so a line packs into 32 bytes, two per
+// 64-byte host cache line (TestLineSize pins it).
 type line struct {
-	tag   mem.Addr
-	valid bool
-	lru   uint64
+	tag mem.Addr
+	lru uint64
 
 	// Multi-tracking scheme: R_i / W_i bitmasks, bit i-1 for level i.
 	rmask, wmask uint32
 
-	// Associativity scheme: single R/W pair plus the NL field (0 = not
-	// speculative).
+	// Associativity scheme: the NL field (0 = not speculative; at most 32,
+	// see NewHierarchy) plus the single R/W pair.
+	nl   uint8
 	r, w bool
-	nl   int
+
+	valid bool
 
 	// mergePending marks a line whose set membership still has to be
 	// folded into the parent level (lazy merging); the next access pays a
@@ -144,9 +147,19 @@ func (l *line) clearTx() {
 	l.mergePending = false
 }
 
+// slabSets is how many sets' ways a level allocates at once. A set gets
+// its ways on first fill, carved from the level's current slab chunk, so
+// host memory follows the sets a program touches (a few percent of the
+// L2 on the paper's workloads) at one allocation per slabSets sets.
+const slabSets = 16
+
 // level is one cache (L1 or L2).
 type level struct {
+	// sets holds each set's ways; a set stays nil, and every lookup in it
+	// misses, until the first fill into it (see fillSet).
 	sets     [][]line
+	ways     int
+	slab     []line // the current chunk's ways not yet handed to a set
 	setShift uint
 	setMask  mem.Addr
 	lruTick  uint64
@@ -169,13 +182,12 @@ func newLevel(bytes, ways, lineSize int) *level {
 	if nsets&(nsets-1) != 0 {
 		panic(fmt.Sprintf("cache: set count %d not a power of two", nsets))
 	}
-	l := &level{setShift: log2(lineSize), setMask: mem.Addr(nsets - 1)}
-	l.sets = make([][]line, nsets)
-	backing := make([]line, lines) // one allocation for all ways of all sets
-	for i := range l.sets {
-		l.sets[i], backing = backing[:ways:ways], backing[ways:]
+	return &level{
+		sets:     make([][]line, nsets),
+		ways:     ways,
+		setShift: log2(lineSize),
+		setMask:  mem.Addr(nsets - 1),
 	}
-	return l
 }
 
 // noteSpec puts l on the spec list unless it is already there. Every code
@@ -196,8 +208,24 @@ func log2(v int) uint {
 	return s
 }
 
+// setFor returns lineAddr's set: nil, which holds no line, if nothing
+// was ever filled into it.
 func (lv *level) setFor(lineAddr mem.Addr) []line {
 	return lv.sets[(lineAddr>>lv.setShift)&lv.setMask]
+}
+
+// fillSet returns lineAddr's set for a fill, giving an untouched set its
+// ways from the slab. Ways never move once handed out, so the spec
+// list's line pointers stay valid.
+func (lv *level) fillSet(lineAddr mem.Addr) []line {
+	si := (lineAddr >> lv.setShift) & lv.setMask
+	if lv.sets[si] == nil {
+		if len(lv.slab) == 0 {
+			lv.slab = make([]line, min(slabSets, len(lv.sets))*lv.ways)
+		}
+		lv.sets[si], lv.slab = lv.slab[:lv.ways:lv.ways], lv.slab[lv.ways:]
+	}
+	return lv.sets[si]
 }
 
 // lookup finds the line (associativity scheme: the most recent version,
@@ -219,7 +247,7 @@ func (lv *level) lookup(lineAddr mem.Addr) *line {
 // victim picks the replacement way for a fill: an invalid way if any,
 // otherwise the LRU way. It reports whether a speculative line was evicted.
 func (lv *level) victim(lineAddr mem.Addr) (*line, bool) {
-	set := lv.setFor(lineAddr)
+	set := lv.fillSet(lineAddr)
 	var victim *line
 	for i := range set {
 		l := &set[i]
@@ -403,8 +431,8 @@ func (h *Hierarchy) mark(lineAddr mem.Addr, l *line, write bool, nl int, res *Ac
 	case Associativity:
 		switch {
 		case l.nl == 0:
-			l.nl = hwLevel
-		case l.nl < hwLevel && write:
+			l.nl = uint8(hwLevel)
+		case int(l.nl) < hwLevel && write:
 			// A shallower transaction in the nest holds a speculative
 			// version and this level writes the line: allocate a new way
 			// for this level's version (Figure 4b), pressuring capacity.
@@ -413,9 +441,9 @@ func (h *Hierarchy) mark(lineAddr mem.Addr, l *line, write bool, nl int, res *Ac
 			nl2 := h.fill(h.l1, lineAddr, res)
 			nl2.clearTx()
 			nl2.tag, nl2.valid = lineAddr, true
-			nl2.nl = hwLevel
+			nl2.nl = uint8(hwLevel)
 			l = nl2
-		case l.nl < hwLevel:
+		case int(l.nl) < hwLevel:
 			// A deeper READ of a shallower version needs no new version —
 			// it is served from the ancestor's copy. The read rides on the
 			// ancestor's version (conservative attribution, which a closed
@@ -512,7 +540,7 @@ func (h *Hierarchy) CommitLevel(nl int, open bool) CommitResult {
 						l.wmask &^= bit
 					}
 				case Associativity:
-					if l.nl != nl {
+					if int(l.nl) != nl {
 						break
 					}
 					if closedMerge {
@@ -523,7 +551,7 @@ func (h *Hierarchy) CommitLevel(nl int, open bool) CommitResult {
 							old.w = old.w || l.w
 							l.valid = false
 						} else {
-							l.nl = nl - 1
+							l.nl = uint8(nl - 1)
 						}
 						res.MergedLines++
 						if h.cfg.LazyMerge {
@@ -551,7 +579,7 @@ func (h *Hierarchy) findVersion(lv *level, tag mem.Addr, nl int) *line {
 	set := lv.setFor(tag)
 	for i := range set {
 		l := &set[i]
-		if l.valid && l.tag == tag && l.nl == nl {
+		if l.valid && l.tag == tag && int(l.nl) == nl {
 			return l
 		}
 	}
@@ -578,7 +606,7 @@ func (h *Hierarchy) RollbackLevel(nl int) {
 					l.rmask &^= bit
 					l.wmask &^= bit
 				case Associativity:
-					if l.nl == nl {
+					if int(l.nl) == nl {
 						if l.w {
 							// Speculative data discarded with the version.
 							l.valid = false
@@ -599,15 +627,15 @@ func (h *Hierarchy) RollbackLevel(nl int) {
 }
 
 // ClearAll drops all transactional metadata (used when a CPU switches
-// software threads). Unlike the per-level gang operations it sweeps the
-// whole cache: it also clears mergePending on lines that left the spec
+// software threads). Unlike the per-level gang operations it sweeps every
+// allocated set: it also clears mergePending on lines that left the spec
 // list at their outermost commit but still owe the lazy-merge fix-up.
 func (h *Hierarchy) ClearAll() {
 	for _, lv := range []*level{h.l1, h.l2} {
-		for si := range lv.sets {
-			for wi := range lv.sets[si] {
-				lv.sets[si][wi].clearTx()
-				lv.sets[si][wi].listed = false
+		for _, set := range lv.sets {
+			for wi := range set {
+				set[wi].clearTx()
+				set[wi].listed = false
 			}
 		}
 		lv.spec = lv.spec[:0]
@@ -625,7 +653,7 @@ func (h *Hierarchy) ClearAll() {
 func (h *Hierarchy) Fingerprint(fn func(uint64)) {
 	for li, lv := range []*level{h.l1, h.l2} {
 		fn(uint64(li))
-		order := make([]int, len(lv.sets[0])) // one slot per way
+		order := make([]int, lv.ways)
 		for si, set := range lv.sets {
 			nvalid := 0
 			for wi := range set {
@@ -689,9 +717,9 @@ func (h *Hierarchy) Fingerprint(fn func(uint64)) {
 func (h *Hierarchy) SpeculativeLines() int {
 	n := 0
 	for _, lv := range []*level{h.l1, h.l2} {
-		for si := range lv.sets {
-			for wi := range lv.sets[si] {
-				if lv.sets[si][wi].valid && lv.sets[si][wi].speculative() {
+		for _, set := range lv.sets {
+			for wi := range set {
+				if set[wi].valid && set[wi].speculative() {
 					n++
 				}
 			}

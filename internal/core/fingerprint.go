@@ -28,6 +28,7 @@
 package core
 
 import (
+	"tmisa/internal/mem"
 	"tmisa/internal/sim"
 	"tmisa/internal/tm"
 )
@@ -73,6 +74,7 @@ func (f *fnvAcc) str(s string) {
 // hook (every other goroutine is parked), or before/after Run.
 func (m *Machine) Fingerprint(extra ...uint64) uint64 {
 	f := &fnvAcc{h: fnvOffset}
+	var keys []mem.Addr // hashLevel's sort buffer
 
 	// Times are hashed relative to the earliest live CPU: the scheduler
 	// only ever compares times, so histories that differ by a global
@@ -105,7 +107,7 @@ func (m *Machine) Fingerprint(extra ...uint64) uint64 {
 
 		f.word(uint64(len(p.stack.Levels)))
 		for _, lvl := range p.stack.Levels {
-			hashLevel(f, lvl)
+			hashLevel(f, lvl, &keys)
 		}
 		f.word(uint64(len(p.violQ)))
 		for _, r := range p.violQ {
@@ -162,22 +164,22 @@ func (m *Machine) Fingerprint(extra ...uint64) uint64 {
 
 // hashLevel folds one transaction level's behavioral state. StartCycle
 // is excluded (wasted-cycle accounting only); undo membership is implied
-// by the log itself.
-func hashLevel(f *fnvAcc, lvl *tm.Level) {
+// by the log itself. keys is scratch space for the sorted set walks.
+func hashLevel(f *fnvAcc, lvl *tm.Level, keys *[]mem.Addr) {
 	f.word(uint64(lvl.NL))
 	f.boolean(lvl.Open)
 	f.word(uint64(lvl.Status))
 	f.word(uint64(lvl.Mode))
 	f.word(uint64(len(lvl.ReadSet)))
-	for _, a := range sortedLines(lvl.ReadSet) {
+	for _, a := range sortedKeys(keys, lvl.ReadSet) {
 		f.word(uint64(a))
 	}
 	f.word(uint64(len(lvl.WriteSet)))
-	for _, a := range sortedLines(lvl.WriteSet) {
+	for _, a := range sortedKeys(keys, lvl.WriteSet) {
 		f.word(uint64(a))
 	}
 	f.word(uint64(len(lvl.WBuf)))
-	for _, a := range sortedWords(lvl.WBuf) {
+	for _, a := range sortedKeys(keys, lvl.WBuf) {
 		f.word(uint64(a))
 		f.word(lvl.WBuf[a])
 	}

@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"tmisa/internal/mem"
 	"tmisa/internal/tm"
@@ -187,7 +187,7 @@ func (p *Proc) emitFallback(mode tm.Mode, why string) {
 // code works unchanged), violation handlers never fire, and Abort
 // surfaces as an error after its abort handlers.
 func (p *Proc) seqAtomic(body func(*Tx)) (err error) {
-	tx := &Tx{p: p, level: tm.NewLevel(p.stack.Depth()+1, false, p.sp.Time())}
+	tx := &Tx{p: p, nl: p.stack.Depth() + 1}
 	defer func() {
 		r := recover()
 		if r == nil {
@@ -279,7 +279,7 @@ func (p *Proc) xbeginMode(open bool, mode tm.Mode) *Tx {
 	if mode == tm.Serial {
 		lvl.Status = tm.Validated
 	}
-	tx := &Tx{p: p, level: lvl}
+	tx := &Tx{p: p, level: lvl, nl: lvl.NL, open: open, mode: mode}
 	p.txs = append(p.txs, tx)
 	p.c.TxBegins++
 	if max := p.m.cfg.Cache.MaxLevels; max > 0 && lvl.NL > max {
@@ -416,7 +416,7 @@ func (p *Proc) xcommit(tx *Tx) {
 	// place, access by access, and nothing could observe it mid-flight —
 	// its commit publishes nothing and broadcasts nothing.
 	if p.m.cfg.Engine == Lazy && lvl.Mode != tm.Serial {
-		for _, w := range sortedWords(lvl.WBuf) {
+		for _, w := range sortedKeys(&p.scratch, lvl.WBuf) {
 			p.m.mem.Store(w, lvl.WBuf[w])
 		}
 		// Broadcast the write-set over the bus; every other processor
@@ -436,7 +436,7 @@ func (p *Proc) xcommit(tx *Tx) {
 		if lvl.Mode == tm.TL2 {
 			why = causeStmCommit
 		}
-		p.violateOthers(sortedLines(lvl.WriteSet), nil, why)
+		p.violateOthers(sortedKeys(&p.scratch, lvl.WriteSet), nil, why)
 	}
 	if lvl.Open {
 		// Memory already holds every value this commit made permanent: the
@@ -549,11 +549,15 @@ func (p *Proc) rollbackLevel(tx *Tx) {
 // aborted level's were cleared by its xrwsetclear).
 func (p *Proc) popLevel(tx *Tx) {
 	p.stripViolBit(tx.level.NL)
+	// The stack hands this frame to the next transaction at its depth;
+	// the done handle keeps only its own attempt's footprint.
+	tx.rsize, tx.wsize = len(tx.level.ReadSet), len(tx.level.WriteSet)
+	tx.level = nil
 	p.stack.Pop()
 	p.txs = p.txs[:len(p.txs)-1]
 	tx.done = true
 	if p.stack.Depth() == 0 {
-		p.violQ = nil
+		p.violQ = p.violQ[:0]
 	}
 }
 
@@ -575,20 +579,15 @@ func (p *Proc) chargeInsn(n int) {
 	p.sp.Advance(uint64(n))
 }
 
-func sortedLines(set map[mem.Addr]struct{}) []mem.Addr {
-	out := make([]mem.Addr, 0, len(set))
-	for a := range set {
-		out = append(out, a)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-func sortedWords(m map[mem.Addr]uint64) []mem.Addr {
-	out := make([]mem.Addr, 0, len(m))
+// sortedKeys returns m's addresses in ascending order, the deterministic
+// order every walk over a set or write-buffer needs. It appends into
+// *buf, so the result is only valid until buf's next use.
+func sortedKeys[V any](buf *[]mem.Addr, m map[mem.Addr]V) []mem.Addr {
+	out := (*buf)[:0]
 	for a := range m {
 		out = append(out, a)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
+	*buf = out
 	return out
 }

@@ -27,6 +27,11 @@ type Proc struct {
 	stack tm.Stack
 	txs   []*Tx
 
+	// scratch is the commit path's sort buffer (see sortedKeys), recs
+	// violateOthers' per-victim record buffer.
+	scratch []mem.Addr
+	recs    []violRec
+
 	// Violation state (Table 1): violQ holds the undelivered conflicts
 	// (realizing xvaddr plus the xvcurrent/xvpending bitmasks — see
 	// violRec); violReport is the reporting-enable flag toggled by
@@ -69,9 +74,6 @@ type Proc struct {
 	// pre-populating B-trees) before the machine runs.
 	untimed bool
 }
-
-// debugViolate is a test hook observing broadcast checks.
-var debugViolate func(committer, victim int, lines []mem.Addr, recs []violRec)
 
 // BugCompatNonTxStore re-enables the pre-fix behaviour of the eager
 // engine's non-transactional store — write memory first, violate the
@@ -466,15 +468,15 @@ func (p *Proc) violateOthers(lines []mem.Addr, except *Proc, why string) {
 		if q == p || q == except {
 			continue
 		}
-		var recs []violRec
+		// The victim's queue copies the records, so one buffer serves
+		// every victim.
+		recs := p.recs[:0]
 		for _, l := range lines {
 			if mask := q.stack.ConflictsWithLine(l, false); mask != 0 {
 				recs = append(recs, violRec{addr: l, mask: mask, by: p.id, why: why})
 			}
 		}
-		if debugViolate != nil {
-			debugViolate(p.id, q.id, lines, recs)
-		}
+		p.recs = recs
 		if len(recs) > 0 {
 			p.m.raiseViolation(q, recs, now)
 		}

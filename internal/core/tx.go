@@ -60,8 +60,17 @@ func (e *AbortError) Error() string { return fmt.Sprintf("transaction aborted: %
 // level is active; the Proc hands it to the transaction's body and to
 // handlers.
 type Tx struct {
-	p     *Proc
-	level *tm.Level
+	p *Proc
+	// level is the attempt's TCB frame while it is on the stack, and nil
+	// once the attempt is done (or under the sequential baseline, which
+	// keeps no transactional state): the stack reuses the frame for the
+	// next transaction at its depth. What a done handle still reports is
+	// copied out — nl, open and mode at xbegin, the set sizes at popLevel.
+	level        *tm.Level
+	nl           int
+	open         bool
+	mode         tm.Mode
+	rsize, wsize int
 
 	commitHs []CommitHandler
 	violHs   []ViolationHandler
@@ -79,16 +88,16 @@ type Tx struct {
 func (tx *Tx) Proc() *Proc { return tx.p }
 
 // NL returns the transaction's 1-based nesting level.
-func (tx *Tx) NL() int { return tx.level.NL }
+func (tx *Tx) NL() int { return tx.nl }
 
 // Open reports whether this is an open-nested transaction.
-func (tx *Tx) Open() bool { return tx.level.Open }
+func (tx *Tx) Open() bool { return tx.open }
 
 // Mode returns this attempt's execution mode: tm.HTM for a hardware
 // attempt, tm.Serial or tm.TL2 after a hybrid-engine fallback
 // transition. Bodies can branch on it to skip HTM-only tuning (for
 // example contention managers) on the already-serialized paths.
-func (tx *Tx) Mode() tm.Mode { return tx.level.Mode }
+func (tx *Tx) Mode() tm.Mode { return tx.mode }
 
 // Done reports whether the attempt this handle belonged to has ended —
 // committed, aborted, or rolled back. The handle dies with its TCB
@@ -98,9 +107,21 @@ func (tx *Tx) Mode() tm.Mode { return tx.level.Mode }
 // place.
 func (tx *Tx) Done() bool { return tx.done }
 
-// ReadSetSize and WriteSetSize expose footprint for diagnostics.
-func (tx *Tx) ReadSetSize() int  { return len(tx.level.ReadSet) }
-func (tx *Tx) WriteSetSize() int { return len(tx.level.WriteSet) }
+// ReadSetSize and WriteSetSize expose footprint for diagnostics. On a
+// done handle they report the sizes the attempt ended with.
+func (tx *Tx) ReadSetSize() int {
+	if tx.level == nil {
+		return tx.rsize
+	}
+	return len(tx.level.ReadSet)
+}
+
+func (tx *Tx) WriteSetSize() int {
+	if tx.level == nil {
+		return tx.wsize
+	}
+	return len(tx.level.WriteSet)
+}
 
 func (tx *Tx) check() {
 	if tx.done {
@@ -143,12 +164,12 @@ func (tx *Tx) Abort(reason any) {
 	// still abortable from its body (the undo log restores its in-place
 	// writes, which nothing can have observed); only the commit-handler
 	// phase is past the point of no return there.
-	if tx.level.Status == tm.Validated && (tx.level.Mode != tm.Serial || tx.inCommitHs) {
+	if tx.level != nil && tx.level.Status == tm.Validated && (tx.mode != tm.Serial || tx.inCommitHs) {
 		panic("core: Tx.Abort after xvalidate (commit handlers cannot abort the transaction)")
 	}
 	p := tx.p
 	p.step(CostAbort)
-	p.emit(trace.Abort, tx.level.NL, tx.level.Open, 0, fmt.Sprint(reason))
+	p.emit(trace.Abort, tx.nl, tx.open, 0, fmt.Sprint(reason))
 	p.c.UserAborts++
 	// xabort disables further violation reporting while the handler runs.
 	saved := p.violReport
@@ -161,5 +182,5 @@ func (tx *Tx) Abort(reason any) {
 	p.step(CostVRet)
 	p.violReport = saved
 	p.rbCause = rbCause{by: -1, why: causeAbort}
-	panic(&unwind{kind: unwindAbort, target: tx.level.NL, reason: reason})
+	panic(&unwind{kind: unwindAbort, target: tx.nl, reason: reason})
 }

@@ -3,16 +3,28 @@ package core
 import (
 	"strings"
 	"testing"
+
+	"tmisa/internal/tm"
 )
 
 // TestTxDoneLifecycle pins the handle-invalidation contract: Done is
 // false for exactly the lifetime of the body and its handlers, and true
 // forever after, on both the commit and the abort path (popLevel runs
-// on every exit).
+// on every exit). A done handle keeps reporting its own attempt's
+// identity and footprint even after the TCB stack hands its level to a
+// later, open and larger transaction at the same depth.
 func TestTxDoneLifecycle(t *testing.T) {
 	m := NewMachine(testConfig(1, Lazy))
+	a, b, c := m.AllocLine(), m.AllocLine(), m.AllocLine()
 	var duringBody, duringCommitH bool
-	var committed, aborted *Tx
+	var committed, aborted, leaked *Tx
+	type view struct {
+		nl, reads, writes int
+		open              bool
+		mode              tm.Mode
+	}
+	look := func(tx *Tx) view { return view{tx.NL(), tx.ReadSetSize(), tx.WriteSetSize(), tx.Open(), tx.Mode()} }
+	var inReuse view
 	m.Run(func(p *Proc) {
 		p.Atomic(func(tx *Tx) {
 			duringBody = tx.Done()
@@ -23,7 +35,27 @@ func TestTxDoneLifecycle(t *testing.T) {
 			aborted = tx //tmlint:allow txescape -- same, via the abort path
 			tx.Abort("die")
 		})
+		p.Atomic(func(*Tx) {
+			p.Atomic(func(tx *Tx) {
+				p.Store(a, p.Load(a)+1)
+				leaked = tx //tmlint:allow txescape -- the test reads the dead handle after its level is reused
+			})
+		})
+		p.Atomic(func(*Tx) {
+			//tmlint:allow nesting -- an open child at the leaked handle's depth is the point
+			p.AtomicOpen(func(*Tx) {
+				p.Store(b, p.Load(a)+p.Load(b)+p.Load(c))
+				inReuse = look(leaked)
+			})
+		})
 	})
+	want := view{nl: 2, reads: 1, writes: 1, mode: tm.HTM}
+	if inReuse != want {
+		t.Errorf("done handle while its level is reused = %+v, want %+v", inReuse, want)
+	}
+	if got := look(leaked); got != want {
+		t.Errorf("done handle after its level was reused = %+v, want %+v", got, want)
+	}
 	if duringBody {
 		t.Error("Done() = true inside the atomic body")
 	}

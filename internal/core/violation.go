@@ -136,7 +136,7 @@ func (p *Proc) deliver() {
 		if p.stack.Depth() == 0 {
 			// Conflicts can race with commit or land on non-transactional
 			// code; they are meaningless here.
-			p.violQ = nil
+			p.violQ = p.violQ[:0]
 			return
 		}
 		if len(p.violQ) == 0 {
