@@ -28,6 +28,16 @@ type unwind struct {
 	reason any
 }
 
+// rollbackUnwind returns the CPU's rollback unwind for a target level.
+// Rollback unwinds carry no reason and are never mutated, so one per
+// level serves every rollback and a rollback allocates nothing.
+func (p *Proc) rollbackUnwind(target int) *unwind {
+	for len(p.unwinds) <= target {
+		p.unwinds = append(p.unwinds, &unwind{kind: unwindRollback, target: len(p.unwinds)})
+	}
+	return p.unwinds[target]
+}
+
 // Atomic executes body as a transaction: xbegin, body, xvalidate, commit
 // handlers, xcommit. Nested calls create closed-nested transactions with
 // independent rollback (or are flattened under Config.Flatten). It
@@ -112,7 +122,7 @@ func (p *Proc) atomic(open bool, fb FallbackKind, body func(*Tx)) error {
 			run = func(tx *Tx) {
 				if p.Load(fbLockAddr) != 0 {
 					p.rbCause = rbCause{addr: p.line(fbLockAddr), by: -1, why: causeFallbackLock}
-					panic(&unwind{kind: unwindRollback, target: tx.level.NL})
+					panic(p.rollbackUnwind(tx.level.NL))
 				}
 				body(tx)
 			}
@@ -361,7 +371,7 @@ func (p *Proc) xvalidate(tx *Tx) {
 					break
 				}
 			}
-			panic(&unwind{kind: unwindRollback, target: lvl.NL})
+			panic(p.rollbackUnwind(lvl.NL))
 		}
 		break
 	}

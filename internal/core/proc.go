@@ -49,6 +49,9 @@ type Proc struct {
 	// rbCause is the conflict context of the unwind currently in flight
 	// (set at every unwind panic site, read by rollbackLevel's emission).
 	rbCause rbCause
+	// unwinds caches one rollback unwind per target level (see
+	// rollbackUnwind).
+	unwinds []*unwind
 
 	// stalled marks the CPU blocked on a validated conflicting transaction
 	// (eager engine); stallWaiters are CPUs blocked on *this* CPU's commit.

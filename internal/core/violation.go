@@ -235,7 +235,7 @@ func (p *Proc) deliver() {
 			DebugRollback(p.id, rec.addr, rec.mask, target)
 		}
 		p.rbCause = rbCause{addr: rec.addr, by: rec.by, why: rec.why}
-		panic(&unwind{kind: unwindRollback, target: target})
+		panic(p.rollbackUnwind(target))
 	}
 }
 

@@ -34,6 +34,9 @@ const (
 	// calMinBuckets bounds the wheel span below: 256 buckets × 16 cycles
 	// covers a 4096-cycle spread before the far-future fallback engages.
 	calMinBuckets = 256
+	// calBucketSlots is each bucket's initial capacity, carved from one
+	// slab so a machine's buckets cost one allocation until one overflows.
+	calBucketSlots = 4
 )
 
 // calendar is the bucketed time wheel. The zero value needs init before
@@ -57,6 +60,12 @@ func (c *calendar) init(ncpus int) {
 	}
 	c.buckets = make([][]*P, nb)
 	c.mask = uint64(nb - 1)
+	// Full slice expressions cap every bucket at its own slots, so an
+	// overflowing bucket reallocates alone instead of overwriting the next.
+	slab := make([]*P, nb*calBucketSlots)
+	for i := range c.buckets {
+		c.buckets[i] = slab[i*calBucketSlots : i*calBucketSlots : (i+1)*calBucketSlots]
+	}
 }
 
 // calLess orders entries by (time, id) — the engine's scheduling rule.
