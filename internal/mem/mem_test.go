@@ -188,10 +188,10 @@ func TestFootprintCountsResidentPages(t *testing.T) {
 	if m.Footprint() != 0 {
 		t.Fatalf("fresh footprint = %d, want 0", m.Footprint())
 	}
-	m.Store(0x1_0000, 1)             // page A
-	m.Store(0x1_0000, 2)             // same page
-	m.Store(0x2_0000, 3)             // page B, same shard
-	m.Store(0x1_0000+(1<<25), 4)     // distant shard
+	m.Store(0x1_0000, 1)         // page A
+	m.Store(0x1_0000, 2)         // same page
+	m.Store(0x2_0000, 3)         // page B, same shard
+	m.Store(0x1_0000+(1<<25), 4) // distant shard
 	if got := m.Footprint(); got != 3 {
 		t.Fatalf("footprint = %d, want 3", got)
 	}
