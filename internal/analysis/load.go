@@ -103,7 +103,7 @@ func (ld *Loader) Import(path string) (*types.Package, error) {
 	if path == "unsafe" {
 		return types.Unsafe, nil
 	}
-	if path == ld.ModPath || strings.HasPrefix(path, ld.ModPath+"/") {
+	if ld.inModule(path) {
 		if pkg, ok := ld.cache[path]; ok {
 			return pkg, nil
 		}
@@ -112,7 +112,7 @@ func (ld *Loader) Import(path string) (*types.Package, error) {
 		}
 		ld.loading[path] = true
 		defer delete(ld.loading, path)
-		dir := filepath.Join(ld.Root, filepath.FromSlash(strings.TrimPrefix(path, ld.ModPath)))
+		dir := ld.dirForPath(path)
 		files, _, err := ld.parseDir(dir, false)
 		if err != nil {
 			return nil, err
@@ -193,7 +193,10 @@ func (ld *Loader) parseDir(dir string, tests bool) (primary, external []*ast.Fil
 
 // LoadDir type-checks the package in dir (with its _test files) and
 // returns one analysis unit per package clause found: the primary
-// package and, when present, the external _test package.
+// package and, when present, the external _test package. As under go
+// test, the external package sees the primary package with its
+// in-package _test files, so helpers an export_test.go file exports
+// resolve.
 func (ld *Loader) LoadDir(dir string) ([]*Package, error) {
 	dir, err := filepath.Abs(dir)
 	if err != nil {
@@ -205,21 +208,81 @@ func (ld *Loader) LoadDir(dir string) ([]*Package, error) {
 		return nil, err
 	}
 	var out []*Package
+	imp := &testImporter{ld: ld, under: path, pkgs: map[string]*types.Package{}}
 	if len(primary) > 0 {
-		pkg, err := ld.check(path, dir, primary)
+		pkg, err := ld.check(path, dir, primary, ld)
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, pkg)
+		imp.pkgs[path] = pkg.Types
 	}
 	if len(external) > 0 {
-		pkg, err := ld.check(path+"_test", dir, external)
+		pkg, err := ld.check(path+"_test", dir, external, imp)
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, pkg)
 	}
 	return out, nil
+}
+
+// testImporter resolves an external test package's imports the way go
+// test builds them: the package under test is its test-augmented form,
+// and each module package that transitively imports it is re-checked
+// from source against that form, so the two never meet as distinct
+// types. Every other package is the loader's shared non-test check.
+type testImporter struct {
+	ld    *Loader
+	under string
+	pkgs  map[string]*types.Package
+}
+
+func (ti *testImporter) Import(path string) (*types.Package, error) {
+	if pkg, ok := ti.pkgs[path]; ok {
+		return pkg, nil
+	}
+	pkg, err := ti.ld.Import(path)
+	if err != nil || !ti.ld.inModule(path) || !ti.ld.dependsOn(pkg, ti.under, map[*types.Package]bool{}) {
+		return pkg, err
+	}
+	files, _, err := ti.ld.parseDir(ti.ld.dirForPath(path), false)
+	if err != nil {
+		return nil, err
+	}
+	conf := types.Config{Importer: ti}
+	if pkg, err = conf.Check(path, ti.ld.Fset, files, nil); err != nil {
+		return nil, err
+	}
+	ti.pkgs[path] = pkg
+	return pkg, nil
+}
+
+// dependsOn reports whether module package pkg imports path, directly
+// or through other module packages (the standard library imports none).
+func (ld *Loader) dependsOn(pkg *types.Package, path string, seen map[*types.Package]bool) bool {
+	for _, q := range pkg.Imports() {
+		if q.Path() == path {
+			return true
+		}
+		if ld.inModule(q.Path()) && !seen[q] {
+			seen[q] = true
+			if ld.dependsOn(q, path, seen) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// inModule reports whether an import path belongs to the loader's module.
+func (ld *Loader) inModule(path string) bool {
+	return path == ld.ModPath || strings.HasPrefix(path, ld.ModPath+"/")
+}
+
+// dirForPath is the directory of a module import path.
+func (ld *Loader) dirForPath(path string) string {
+	return filepath.Join(ld.Root, filepath.FromSlash(strings.TrimPrefix(path, ld.ModPath)))
 }
 
 // pathForDir derives the import path of a module directory. Directories
@@ -236,7 +299,7 @@ func (ld *Loader) pathForDir(dir string) string {
 	return ld.ModPath + "/" + filepath.ToSlash(rel)
 }
 
-func (ld *Loader) check(path, dir string, files []*ast.File) (*Package, error) {
+func (ld *Loader) check(path, dir string, files []*ast.File, imp types.Importer) (*Package, error) {
 	info := &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
 		Defs:       make(map[*ast.Ident]types.Object),
@@ -248,7 +311,7 @@ func (ld *Loader) check(path, dir string, files []*ast.File) (*Package, error) {
 	}
 	var terrs TypeErrors
 	conf := types.Config{
-		Importer: ld,
+		Importer: imp,
 		Error:    func(err error) { terrs = append(terrs, err) },
 	}
 	tpkg, _ := conf.Check(path, ld.Fset, files, info)

@@ -56,6 +56,35 @@ func TestLoadCorePackage(t *testing.T) {
 	}
 }
 
+// TestLoadExternalTestSeesExportTest: an external test package is
+// checked the way go test builds it. Its package under test includes the
+// in-package _test files, so a helper that export_test.go exports
+// resolves, and package user, which imports the package under test, is
+// re-checked against that same form, so its Cell is the test's Cell.
+// Importers outside the test still get the package without test files.
+func TestLoadExternalTestSeesExportTest(t *testing.T) {
+	ld := testLoader(t)
+	pkgs, err := ld.LoadDir(filepath.Join(ld.Root, "internal/analysis/testdata/src/exporttest"))
+	if err != nil {
+		t.Fatalf("load: %v", err)
+	}
+	if len(pkgs) != 2 || pkgs[1].Path != pkgs[0].Path+"_test" {
+		t.Fatalf("loaded %d units, want the package and its external test", len(pkgs))
+	}
+	for _, imp := range pkgs[1].Types.Imports() {
+		if imp.Path() == pkgs[0].Path && imp != pkgs[0].Types {
+			t.Error("the external test imports a package other than the test-augmented one")
+		}
+	}
+	plain, err := ld.Import(pkgs[0].Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plain.Scope().Lookup("Double") != nil {
+		t.Error("the shared import of the package includes its _test files")
+	}
+}
+
 // TestSuppressionIndex checks both placements of //tmlint:allow and that
 // Reportf honors them.
 func TestSuppressionIndex(t *testing.T) {

@@ -1,55 +1,48 @@
+//go:build go1.23
+
 // The calendar-queue event-loop scheduler (the default).
 //
-// There is no central scheduler goroutine. CPUs remain goroutines — a
-// body must be able to suspend mid-call-stack, which Go only offers via
-// goroutines — but they are driven as resumable execution contexts:
-// exactly one is ever runnable, and all scheduling decisions run inline
-// on whichever CPU is giving up control. Releasing control picks the
-// next runner from the calendar queue and hands off directly
-// (next.grant <- {}; <-p.grant): one send plus one receive per context
-// switch, versus the legacy engine's two of each through the scheduler
-// goroutine. The happens-before edges of those channel operations order
-// every CPU's memory accesses, so the engine remains race-detector-clean
-// without locks.
+// Each CPU body runs in its own coroutine (iter.Pull), and Run is the
+// driver: it pops the next CPU from the calendar queue, sets Now, checks
+// MaxCycles and resumes that CPU until it gives control back, repeating
+// until every CPU halts. A resume and a give-back are one
+// runtime.coroswitch each, which hands the thread straight to the target
+// goroutine: no run queue, no channel, no idle P woken. iter.Pull
+// declares a happens-before edge across every switch, so all CPUs'
+// memory accesses are ordered through the driver and the engine remains
+// race-detector-clean without locks.
 //
-// State transitions (all on the running CPU, mirroring the legacy
-// engine's decision points exactly):
+// State transitions (at the legacy engine's decision points exactly):
 //
 //	Yield fast: queue minimum would lose to the caller → keep running.
-//	Yield slow: insert self, pop next, hand off; park until re-granted.
-//	Block:      mark Waiting (not queued), pop next, hand off; an empty
-//	            queue here is a deadlock.
+//	Yield slow: insert self, give control back to the driver.
+//	Block:      mark Waiting (not queued), give control back.
 //	Unblock:    mark Ready at the wake time and insert into the queue.
-//	Halt:       body returned; pop next and hand off, or finish the run
-//	            when this was the last live CPU.
+//	Halt:       the body returned; the driver pops the next CPU, or
+//	            finishes the run when this was the last live CPU. An
+//	            empty queue with CPUs still live is a deadlock.
 //
 // Fatal conditions (deadlock, MaxCycles, body panic, a panicking
-// TieBreak hook) poison the engine: the detecting CPU drains every other
-// context — each is granted once and unwinds via poisonedEngine,
-// acknowledging on e.ack — then delivers the verdict to Run over e.done
-// and unwinds itself. The drain protocol guarantees a recovered Run
-// never leaks a parked CPU goroutine, including when the fatal fires
-// between a grant and the next scheduling step.
+// TieBreak hook, a body's runtime.Goexit) poison the engine: on its way
+// out the driver stops every coroutine, so each pending give-back
+// returns false and unwinds its body with poisonedEngine, and a body
+// that never started never runs. Only then does the panic (or the
+// Goexit, which iter.Pull carries out of the resume) reach Run's caller,
+// so a recovered Run never leaks a CPU goroutine.
+//
+// The go1.23 constraint gives this file, the only one importing iter,
+// the language version iter.Pull needs while go.mod stays at go 1.22.
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+)
 
-// runEvent is Run for the event-loop scheduler.
+// runEvent is Run for the event-loop scheduler: the driver.
 func (e *Engine) runEvent(bodies []func(*P)) {
 	e.cal.init(len(e.procs))
-	defer func() {
-		if r := recover(); r != nil {
-			if !e.poisoned {
-				// A panic that bypassed the fatal paths (e.g. the TieBreak
-				// hook during the initial pick): unwind the contexts before
-				// re-raising.
-				e.drainExcept(nil)
-			}
-			panic(r)
-		}
-	}()
-
-	var fresh []*P
+	live := 0
 	for i, p := range e.procs {
 		var body func(*P)
 		if i < len(bodies) {
@@ -60,65 +53,62 @@ func (e *Engine) runEvent(bodies []func(*P)) {
 			continue
 		}
 		p.started = true
-		fresh = append(fresh, p)
-		go e.context(p, body)
-	}
-	e.live = len(fresh)
-	if e.live == 0 {
-		return
-	}
-	for _, p := range fresh {
+		p.resume, p.stop = iter.Pull(e.context(p, body))
 		e.cal.insert(p)
+		live++
 	}
-
-	next := e.popNext()
-	e.now = next.time
-	if e.MaxCycles != 0 && e.now > e.MaxCycles {
-		e.drainExcept(nil)
-		panic(fmt.Sprintf("sim: exceeded MaxCycles=%d (livelock?)", e.MaxCycles))
-	}
-	next.grant <- struct{}{}
-	if v := <-e.done; v != nil {
-		panic(v)
+	defer func() {
+		if live == 0 {
+			return
+		}
+		// The run is ending early (a panic or a body's Goexit is passing
+		// through): unwind every context before it reaches the caller.
+		e.poisoned = true
+		for _, p := range e.procs {
+			if p.started && p.state != Halted {
+				p.stop()
+				p.state = Halted
+			}
+		}
+	}()
+	for live > 0 {
+		next := e.popNext()
+		if next == nil {
+			panic("sim: deadlock: " + e.describeWaiters())
+		}
+		e.now = next.time
+		if e.MaxCycles != 0 && e.now > e.MaxCycles {
+			panic(fmt.Sprintf("sim: exceeded MaxCycles=%d (livelock?)", e.MaxCycles))
+		}
+		if _, ok := next.resume(); !ok {
+			live--
+		}
 	}
 }
 
-// context hosts one CPU: park until first granted, run the body, then
-// resolve the halt (or the unwind) inline.
-func (e *Engine) context(p *P, body func(*P)) {
-	<-p.grant
-	defer func() {
-		p.state = Halted
-		r := recover()
-		if e.poisoned {
-			// Unwinding (or returning) during a poisoned run. The reporter
-			// delivers the stashed verdict — only now, with its body fully
-			// unwound, so Run's caller can never observe a still-running
-			// context — and every other context just acknowledges the drain.
-			if e.reporter == p {
-				e.done <- e.verdict
-			} else {
-				e.ack <- struct{}{}
+// context wraps CPU p's body as the coroutine the driver resumes. A body
+// panic becomes the run's verdict, raised out of the driver's resume; a
+// panic while the engine is poisoned is the body unwinding and is
+// dropped.
+func (e *Engine) context(p *P, body func(*P)) iter.Seq[struct{}] {
+	return func(yield func(struct{}) bool) {
+		p.yield = yield
+		defer func() {
+			p.state = Halted
+			if r := recover(); r != nil && !e.poisoned {
+				panic(fmt.Errorf("sim: CPU %d panicked at cycle %d: %v", p.ID, p.time, r))
 			}
-			return
-		}
-		if r != nil {
-			e.fatal(p, fmt.Errorf("sim: CPU %d panicked at cycle %d: %v", p.ID, p.time, r))
-			return
-		}
-		// Normal halt: schedule the next runner. A panic inside (a
-		// TieBreak hook, with no body left to unwind through) becomes the
-		// run's fatal verdict directly.
-		if r2 := e.tryHaltNext(p); r2 != nil {
-			e.fatal(p, r2)
-		}
-	}()
-	if e.poisoned {
-		// Granted for the first time during drain: unwind without ever
-		// running the body.
+		}()
+		body(p)
+	}
+}
+
+// suspend gives control back to the driver until it resumes p. A false
+// return from yield means the driver stopped p's coroutine: unwind.
+func (p *P) suspend() {
+	if !p.yield(struct{}{}) {
 		panic(poisonedEngine{})
 	}
-	body(p)
 }
 
 // yieldEvent is Yield for the event loop; p is the running CPU.
@@ -141,19 +131,7 @@ func (e *Engine) yieldEvent(p *P) {
 		}
 	}
 	e.cal.insert(p)
-	next := e.popNextRunning(p) // non-nil: p itself is queued
-	e.now = next.time
-	if e.MaxCycles != 0 && e.now > e.MaxCycles {
-		e.failRunning(p, fmt.Sprintf("sim: exceeded MaxCycles=%d (livelock?)", e.MaxCycles))
-	}
-	if next == p {
-		return
-	}
-	next.grant <- struct{}{}
-	<-p.grant
-	if e.poisoned {
-		panic(poisonedEngine{})
-	}
+	p.suspend()
 }
 
 // blockEvent is Block for the event loop; p is the running CPU.
@@ -166,19 +144,7 @@ func (e *Engine) blockEvent(p *P, reason string) {
 	}
 	p.state = Waiting
 	p.waitReason = reason
-	next := e.popNextRunning(p)
-	if next == nil {
-		e.failRunning(p, "sim: deadlock: "+e.describeWaiters())
-	}
-	e.now = next.time
-	if e.MaxCycles != 0 && e.now > e.MaxCycles {
-		e.failRunning(p, fmt.Sprintf("sim: exceeded MaxCycles=%d (livelock?)", e.MaxCycles))
-	}
-	next.grant <- struct{}{}
-	<-p.grant
-	if e.poisoned {
-		panic(poisonedEngine{})
-	}
+	p.suspend()
 }
 
 // popNext removes and returns the next CPU to run under the documented
@@ -211,84 +177,6 @@ func (e *Engine) popNext() *P {
 	}
 	e.cal.remove(best)
 	return best
-}
-
-// popNextRunning is popNext for use on a running CPU's stack: a panic
-// escaping the TieBreak hook becomes the run's fatal verdict (drain,
-// deliver, unwind) instead of killing the process with no recover above.
-func (e *Engine) popNextRunning(p *P) (next *P) {
-	defer func() {
-		if r := recover(); r != nil {
-			e.failRunning(p, r)
-		}
-	}()
-	return e.popNext()
-}
-
-// tryHaltNext runs the halt-path scheduling step, converting a panic
-// (TieBreak hook) into a returned verdict for the context's defer.
-func (e *Engine) tryHaltNext(p *P) (rec any) {
-	defer func() { rec = recover() }()
-	e.haltNext(p)
-	return nil
-}
-
-// haltNext resolves CPU p's halt: hand off to the next runner, report
-// deadlock/MaxCycles, or — when p was the last live CPU — finish the
-// run. Called from p's context with p already marked Halted.
-func (e *Engine) haltNext(p *P) {
-	e.live--
-	if e.live == 0 {
-		e.done <- nil
-		return
-	}
-	next := e.popNext()
-	if next == nil {
-		e.fatal(p, "sim: deadlock: "+e.describeWaiters())
-		return
-	}
-	e.now = next.time
-	if e.MaxCycles != 0 && e.now > e.MaxCycles {
-		e.fatal(p, fmt.Sprintf("sim: exceeded MaxCycles=%d (livelock?)", e.MaxCycles))
-		return
-	}
-	next.grant <- struct{}{}
-}
-
-// fatal poisons the engine from a context whose body has already
-// finished (halt path or the wrapper's panic branch): drain the other
-// contexts, then deliver the verdict to Run.
-func (e *Engine) fatal(p *P, v any) {
-	e.drainExcept(p)
-	e.done <- v
-}
-
-// failRunning reports a fatal condition detected inside Yield/Block on
-// the running CPU: drain the others, stash the verdict, and unwind this
-// CPU's own body via the poison panic — its context wrapper delivers
-// the verdict to Run once the unwind completes.
-func (e *Engine) failRunning(p *P, v any) {
-	e.drainExcept(p)
-	e.reporter = p
-	e.verdict = v
-	panic(poisonedEngine{})
-}
-
-// drainExcept grants every started, non-halted context except self once,
-// in CPU-id order, letting each unwind via poisonedEngine and waiting
-// for its acknowledgment. self (the reporting context, or nil when
-// draining from Run itself) unwinds separately.
-func (e *Engine) drainExcept(self *P) {
-	e.poisoned = true
-	for _, q := range e.procs {
-		if q == self {
-			continue
-		}
-		for q.started && q.state != Halted {
-			q.grant <- struct{}{}
-			<-e.ack
-		}
-	}
 }
 
 // sortIDs sorts a small id slice ascending (insertion sort: tied sets

@@ -392,3 +392,124 @@ func TestYieldOutsideRunPanics(t *testing.T) {
 		})
 	}
 }
+
+// --- coroutine edge cases --------------------------------------------------
+
+// waitNoLeak fails the test unless the goroutine count falls back to
+// before: stopped contexts exit just after their final switch.
+func waitNoLeak(t *testing.T, before int) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; {
+		if time.Now().After(deadline) {
+			t.Fatalf("leaked goroutines: %d before, %d after", before, runtime.NumGoroutine())
+		}
+		runtime.Gosched()
+	}
+}
+
+// TestBodyGoexitStopsOtherContexts: a body that calls runtime.Goexit, as
+// t.Fatal does, ends the run. Every other context — running, parked in
+// Block, never started — is stopped first, and only then does Run's
+// caller Goexit in turn, with every CPU Halted and no goroutine left.
+// Treating the Goexit as a normal halt would run the other CPUs on.
+func TestBodyGoexitStopsOtherContexts(t *testing.T) {
+	before := runtime.NumGoroutine()
+	e := NewEngine(5)
+	var (
+		finished [5]bool
+		states   [5]State
+		returned bool
+		rec      any
+	)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		defer func() {
+			rec = recover()
+			for i := range states {
+				states[i] = e.Proc(i).State()
+			}
+		}()
+		loop := func(p *P) {
+			for k := 0; k < 50; k++ {
+				p.Advance(1)
+				p.Yield()
+			}
+			finished[p.ID] = true
+		}
+		e.Run([]func(*P){
+			loop,
+			func(p *P) { p.Block("never woken") },
+			func(p *P) {
+				p.Advance(10)
+				p.Yield()
+				runtime.Goexit()
+			},
+			loop,
+			func(p *P) {
+				p.Advance(1000) // still unstarted when CPU 2 exits
+				p.Yield()
+				finished[p.ID] = true
+			},
+		})
+		returned = true
+	}()
+	<-done
+	if rec != nil {
+		t.Fatalf("Run panicked instead of passing the Goexit on: %v", rec)
+	}
+	if returned {
+		t.Fatal("Run returned normally after a body's Goexit")
+	}
+	for i, s := range states {
+		if s != Halted {
+			t.Errorf("CPU %d in state %v when Run's caller exited", i, s)
+		}
+		if finished[i] {
+			t.Errorf("CPU %d ran to completion after CPU 2's Goexit", i)
+		}
+	}
+	waitNoLeak(t, before)
+}
+
+// TestTieBreakPanicReraised: a panicking TieBreak hook, on the initial
+// pick or mid-run, reaches Run's caller with its own value, after every
+// context has been stopped.
+func TestTieBreakPanicReraised(t *testing.T) {
+	spin := func(p *P) {
+		for {
+			p.Advance(1)
+			p.Yield()
+		}
+	}
+	for _, tc := range []struct {
+		name  string
+		after int // hook calls that succeed before it panics
+	}{{"initial pick", 0}, {"mid-run", 3}} {
+		t.Run(tc.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			e := NewEngine(4)
+			calls := 0
+			e.TieBreak = func(tied []int) int {
+				if calls++; calls > tc.after {
+					panic("hook boom")
+				}
+				return 0
+			}
+			r := func() (r any) {
+				defer func() { r = recover() }()
+				e.Run([]func(*P){spin, spin, spin, spin})
+				return nil
+			}()
+			if r != "hook boom" {
+				t.Fatalf("Run raised %v, want the hook's own value", r)
+			}
+			for i := 0; i < 4; i++ {
+				if s := e.Proc(i).State(); s != Halted {
+					t.Errorf("CPU %d left in state %v", i, s)
+				}
+			}
+			waitNoLeak(t, before)
+		})
+	}
+}

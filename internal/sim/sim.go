@@ -24,13 +24,12 @@
 // Two scheduler implementations share this contract and are selected by
 // NewEngineSched:
 //
-//   - SchedEventLoop (the default): a calendar-queue event loop. CPUs
-//     are still goroutines (they must suspend mid-body), but scheduling
-//     runs inline on whichever CPU is giving up control and the next
-//     runner comes from an O(1)-amortized bucketed time wheel
-//     (calendar.go) instead of an O(n) scan, with control passed by
-//     direct handoff — no central scheduler goroutine, one channel send
-//     plus one receive per context switch. See eventloop.go.
+//   - SchedEventLoop (the default): a calendar-queue event loop. Each
+//     CPU body runs in an iter.Pull coroutine (it must suspend
+//     mid-body), and Run drives them: it takes the next runner from an
+//     O(1)-amortized bucketed time wheel (calendar.go) instead of an
+//     O(n) scan and resumes it, one direct coroutine switch each way —
+//     no scheduler run queue, no channel. See eventloop.go.
 //
 //   - SchedGoroutine: the legacy engine — a central scheduler goroutine
 //     granting one CPU per rendezvous. Kept for one release as a
@@ -110,7 +109,7 @@ func ParseSched(name string) (Sched, error) {
 func Scheds() []Sched { return []Sched{SchedEventLoop, SchedGoroutine} }
 
 // P is one simulated CPU as seen by the engine: an id, a local clock, and
-// the rendezvous channel used to grant it execution.
+// the execution context that runs its body.
 type P struct {
 	// ID is the CPU number, stable for the life of the engine.
 	ID int
@@ -118,11 +117,21 @@ type P struct {
 	eng   *Engine
 	time  uint64
 	state State
-	grant chan struct{}
 	// waitReason documents why the CPU is blocked, for deadlock reports.
 	waitReason string
 	// started records whether a body was attached by Run.
 	started bool
+
+	// Event-loop coroutine (eventloop.go): resume runs the body until it
+	// gives control back (ok is false once it has returned), stop unwinds
+	// it, and yield, called by the body, gives control back.
+	resume func() (struct{}, bool)
+	stop   func()
+	yield  func(struct{}) bool
+
+	// Legacy goroutine engine (goroutine.go): the rendezvous channel that
+	// grants the CPU execution.
+	grant chan struct{}
 }
 
 // Engine is the deterministic scheduler for a fixed set of CPUs.
@@ -145,33 +154,19 @@ type Engine struct {
 	tied     []int // reusable buffer for TieBreak
 	running  bool
 	// poisoned is set when the engine hits a fatal condition (body panic,
-	// deadlock, MaxCycles): the remaining CPU goroutines are granted one
-	// last time and unwind via a poisonedEngine panic instead of running
-	// on.
+	// deadlock, MaxCycles): the remaining CPUs are released one last time
+	// and unwind via a poisonedEngine panic instead of running on.
 	poisoned bool
 
 	// Legacy goroutine engine (goroutine.go).
 	step chan stepMsg
 
 	// Event-loop engine (eventloop.go, calendar.go).
-	cal  calendar
-	live int
-	// done carries the run's verdict from the CPU that ends it to Run:
-	// nil for a clean halt of the last CPU, otherwise the fatal value Run
-	// must re-raise.
-	done chan any
-	// ack serializes the poison drain: each drained context acknowledges
-	// its unwind so the drainer can grant the next one.
-	ack chan struct{}
-	// reporter marks the context that detected a fatal condition inside
-	// Yield/Block; verdict is what it delivers to Run once its own body
-	// has finished unwinding.
-	reporter *P
-	verdict  any
+	cal calendar
 }
 
-// poisonedEngine is the panic value that unwinds surviving CPU goroutines
-// after the engine itself hit a fatal condition; the drain discards it.
+// poisonedEngine is the panic value that unwinds surviving CPUs after the
+// engine itself hit a fatal condition; the engine discards it.
 // Application code must re-raise it like any foreign panic value.
 type poisonedEngine struct{}
 
@@ -191,14 +186,17 @@ func NewEngine(n int) *Engine { return NewEngineSched(n, SchedEventLoop) }
 // NewEngineSched creates an engine with n CPUs using the given scheduler
 // implementation.
 func NewEngineSched(n int, sched Sched) *Engine {
-	e := &Engine{
-		sched: sched,
-		step:  make(chan stepMsg),
-		done:  make(chan any),
-		ack:   make(chan struct{}),
+	e := &Engine{sched: sched, procs: make([]*P, n)}
+	ps := make([]P, n)
+	for i := range ps {
+		ps[i] = P{ID: i, eng: e}
+		if sched == SchedGoroutine {
+			ps[i].grant = make(chan struct{})
+		}
+		e.procs[i] = &ps[i]
 	}
-	for i := 0; i < n; i++ {
-		e.procs = append(e.procs, &P{ID: i, eng: e, grant: make(chan struct{})})
+	if sched == SchedGoroutine {
+		e.step = make(chan stepMsg)
 	}
 	return e
 }
@@ -299,7 +297,9 @@ func (p *P) Unblock(at uint64) {
 // panics (the panic is re-raised with CPU context), or if MaxCycles is
 // exceeded. Whatever the fatal condition — including a panic raised by a
 // TieBreak hook — every CPU goroutine is unwound before Run re-raises, so
-// a recovered Run never leaks parked goroutines.
+// a recovered Run never leaks parked goroutines. Under the event loop a
+// body that calls runtime.Goexit (as t.Fatal does) ends the run the same
+// way: the other CPUs are unwound, then Run's caller Goexits.
 func (e *Engine) Run(bodies []func(*P)) {
 	if e.running {
 		panic("sim: Run re-entered")

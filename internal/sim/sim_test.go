@@ -562,3 +562,28 @@ func TestDrainSkipsNeverGrantedBody(t *testing.T) {
 		})
 	})
 }
+
+// BenchmarkHandoff measures one context switch under each scheduler: n
+// CPUs each Advance(1) and Yield in lockstep, so every Yield loses to a
+// CPU with a lower time and takes the slow path. ns/op is per switch.
+func BenchmarkHandoff(b *testing.B) {
+	for _, s := range Scheds() {
+		for _, n := range []int{8, 256} {
+			b.Run(fmt.Sprintf("%s/cpus=%d", s, n), func(b *testing.B) {
+				rounds := b.N/n + 1
+				bodies := make([]func(*P), n)
+				for i := range bodies {
+					bodies[i] = func(p *P) {
+						for k := 0; k < rounds; k++ {
+							p.Advance(1)
+							p.Yield()
+						}
+					}
+				}
+				e := NewEngineSched(n, s)
+				b.ResetTimer()
+				e.Run(bodies)
+			})
+		}
+	}
+}

@@ -30,6 +30,32 @@ func TestDeriveCaseDeterministic(t *testing.T) {
 	}
 }
 
+// TestCoreConfigRunsNamedKinds: every generated case runs the engine,
+// cache scheme, fallback and memory model its config names. Before, a
+// "multitrack" case silently ran the default associativity scheme.
+func TestCoreConfigRunsNamedKinds(t *testing.T) {
+	seen := map[string]bool{}
+	for i := 0; i < 400; i++ {
+		_, mc := DeriveCase(1, i)
+		cfg := mc.CoreConfig()
+		fb, mm := mc.Fallback, mc.MemModel
+		if fb == "" {
+			fb = "none"
+		}
+		if mm == "" {
+			mm = "sc"
+		}
+		got := [4]string{cfg.Engine.String(), cfg.Cache.Scheme.String(), cfg.Fallback.String(), cfg.MemModel.String()}
+		if want := [4]string{mc.Engine, mc.Scheme, fb, mm}; got != want {
+			t.Fatalf("case %d: config names %v but runs %v", i, want, got)
+		}
+		seen[mc.Scheme] = true
+	}
+	if !seen["multitrack"] || !seen["associativity"] {
+		t.Fatalf("400 cases did not cover both schemes: %v", seen)
+	}
+}
+
 // TestSmokeRunClean is the bounded in-tree fuzz smoke: two full matrix
 // sweeps of seed 1 must execute with zero failures. Any failure here is a
 // real engine or oracle bug (or a generator regression) — the log carries
@@ -145,6 +171,17 @@ func TestLoadReproRejectsBadInput(t *testing.T) {
 		"no program":  `{"seed":1,"case":0,"config":{"cpus":2}}`,
 		"bad word":    `{"seed":1,"config":{"cpus":1},"program":{"words":2,"threads":[[{"k":"load","id":1,"w":9}]]}}`,
 		"cpu deficit": `{"seed":1,"config":{"cpus":1},"program":{"words":2,"threads":[[],[]]}}`,
+	}
+	// Names CoreConfig does not know: before, an unknown memModel
+	// panicked and the other three silently ran a default.
+	prog := `,"program":{"words":1,"threads":[[]]}}`
+	cases["unknown engine"] = `{"seed":1,"config":{"cpus":1,"engine":"lazzy","scheme":"multitrack"}` + prog
+	cases["unknown scheme"] = `{"seed":1,"config":{"cpus":1,"engine":"lazy","scheme":"multi-track"}` + prog
+	cases["unknown fallback"] = `{"seed":1,"config":{"cpus":1,"engine":"lazy","scheme":"multitrack","fallback":"stm"}` + prog
+	cases["unknown memModel"] = `{"seed":1,"config":{"cpus":1,"engine":"lazy","scheme":"multitrack","memModel":"pso"}` + prog
+	good := `{"seed":1,"config":{"cpus":1,"engine":"eager","scheme":"associativity","fallback":"tl2","memModel":"relaxed"}` + prog
+	if _, err := LoadRepro([]byte(good)); err != nil {
+		t.Fatalf("valid names rejected: %v", err)
 	}
 	for name, data := range cases {
 		if _, err := LoadRepro([]byte(data)); err == nil {

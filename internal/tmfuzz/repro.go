@@ -80,13 +80,49 @@ func (mc MachineConfig) String() string {
 	return s
 }
 
+// setKinds sets cfg's engine, cache scheme, fallback and memory model
+// from the config's names, rejecting any name it does not know.
+func (mc MachineConfig) setKinds(cfg *core.Config) error {
+	switch mc.Engine {
+	case "lazy":
+		cfg.Engine = core.Lazy
+	case "eager":
+		cfg.Engine = core.Eager
+	default:
+		return fmt.Errorf("tmfuzz: unknown engine %q (want lazy or eager)", mc.Engine)
+	}
+	switch mc.Scheme {
+	case "multitrack":
+		cfg.Cache.Scheme = cache.Multitrack
+	case "associativity":
+		cfg.Cache.Scheme = cache.Associativity
+	default:
+		return fmt.Errorf("tmfuzz: unknown scheme %q (want multitrack or associativity)", mc.Scheme)
+	}
+	switch mc.Fallback {
+	case "", "none":
+		cfg.Fallback = core.NoFallback
+	case "serial":
+		cfg.Fallback = core.SerialFallback
+	case "tl2":
+		cfg.Fallback = core.TL2Fallback
+	default:
+		return fmt.Errorf("tmfuzz: unknown fallback %q (want none, serial or tl2)", mc.Fallback)
+	}
+	mm, err := core.ParseMemModel(mc.MemModel)
+	if err != nil {
+		return fmt.Errorf("tmfuzz: %w", err)
+	}
+	cfg.MemModel = mm
+	return nil
+}
+
 // CoreConfig materializes the core.Config for one run, with the oracle
 // attached and history retention on (fuzz runs are short by construction).
+// It panics on a name setKinds rejects: the generator emits only known
+// names and LoadRepro refuses the rest.
 func (mc MachineConfig) CoreConfig() core.Config {
 	cc := cache.DefaultConfig()
-	if mc.Scheme == "associativity" {
-		cc.Scheme = cache.Associativity
-	}
 	if mc.MaxLevels > 0 {
 		cc.MaxLevels = mc.MaxLevels
 	}
@@ -109,14 +145,8 @@ func (mc MachineConfig) CoreConfig() core.Config {
 		Oracle:        true,
 		OracleHistory: true,
 	}
-	if mc.Engine == "eager" {
-		cfg.Engine = core.Eager
-	}
-	switch mc.Fallback {
-	case "serial":
-		cfg.Fallback = core.SerialFallback
-	case "tl2":
-		cfg.Fallback = core.TL2Fallback
+	if err := mc.setKinds(&cfg); err != nil {
+		panic(err)
 	}
 	cfg.HTMRetryBudget = mc.RetryBudget
 	if len(mc.Faults) > 0 {
@@ -125,11 +155,6 @@ func (mc MachineConfig) CoreConfig() core.Config {
 	if mc.TieBreakSeed != 0 {
 		r := rng{s: mc.TieBreakSeed}
 		cfg.SchedTieBreak = func(tied []int) int { return r.intn(len(tied)) }
-	}
-	if mm, err := core.ParseMemModel(mc.MemModel); err != nil {
-		panic(fmt.Sprintf("tmfuzz: %v", err)) // generator only emits valid names
-	} else {
-		cfg.MemModel = mm
 	}
 	cfg.StoreBufDepth = mc.StoreBufDepth
 	cfg.SBMaxAge = mc.SBMaxAge
@@ -191,6 +216,9 @@ func LoadRepro(data []byte) (*Repro, error) {
 	}
 	if r.Config.CPUs <= 0 || r.Config.CPUs < len(r.Program.Threads) {
 		return nil, fmt.Errorf("tmfuzz: reproducer config has %d CPUs for %d threads", r.Config.CPUs, len(r.Program.Threads))
+	}
+	if err := r.Config.setKinds(new(core.Config)); err != nil {
+		return nil, err
 	}
 	return &r, nil
 }

@@ -20,6 +20,10 @@ const fuzzSweepSeed = 0x5eed_0dd5
 // and seeded tie-break/drain perturbation, so this sweep exercises
 // scheduler corners (backoff stalls, commit-token waits, violation
 // kicks, store-buffer drains) the curated experiments never reach.
+//
+// Agreement alone is not enough: a lost wakeup deadlocks both schedulers
+// the same way. Every case must also run clean — deleting the stall wake
+// in rollbackLevel deadlocks case 3,290, and this check catches it.
 func TestFuzzSweepSchedEquivalence(t *testing.T) {
 	n := 5000
 	if testing.Short() {
@@ -38,6 +42,9 @@ func TestFuzzSweepSchedEquivalence(t *testing.T) {
 		if ev.Category != gr.Category {
 			t.Fatalf("case %d: verdict diverged: eventloop %q, goroutine %q (eventloop err: %v; goroutine err: %v)",
 				i, statusOf(ev), statusOf(gr), ev.Err, gr.Err)
+		}
+		if ev.Failed() {
+			t.Fatalf("case %d (%s): %s on both schedulers: %v", i, mc, ev.Category, ev.Err)
 		}
 		if ev.Outcome != gr.Outcome {
 			t.Fatalf("case %d: outcome diverged:\neventloop: %s\ngoroutine: %s", i, ev.Outcome, gr.Outcome)
